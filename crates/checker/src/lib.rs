@@ -15,14 +15,16 @@
 //!   from an exported JSONL stream). It knows nothing about either
 //!   runtime's internals, so the same invariants hold the simulation
 //!   engine and the threaded runtime to one standard.
-//! * [`scenario`] defines small, fully-specified workloads as *data*,
-//!   so a failing one can be shrunk mechanically.
-//! * [`explorer`] sweeps seeded message-delivery interleavings of the
-//!   threaded runtime (via [`crossbid_crossflow::ChaosConfig`]), runs
-//!   the oracle after every run, cross-checks conservation counters
-//!   against the deterministic simulation, and on failure shrinks to
-//!   a minimal scenario and prints the seed plus the recorded delivery
-//!   schedule — a replayable repro.
+//! * [`scenario`] defines small, fully-specified workloads as *data*:
+//!   one [`Scenario`] type with optional axes (worker faults, link
+//!   faults, master crash, membership churn, DAG load, replication,
+//!   federation), run on either runtime from one [`Replay`] value.
+//! * [`explorer`] sweeps seeded runs of a scenario ([`explore`]), runs
+//!   the oracle after every run, checks completion conservation
+//!   (cross-checking threaded job-list runs against the deterministic
+//!   simulation), and on failure reports the [`Replay`] that
+//!   reproduces it — for threaded job-list scenarios shrunk to a
+//!   minimal job subset, with the recorded delivery schedule.
 //!
 //! The checker validates *itself* through
 //! [`crossbid_crossflow::ProtocolMutation`]: each variant
@@ -34,15 +36,9 @@ pub mod explorer;
 pub mod oracle;
 pub mod scenario;
 
-pub use explorer::{
-    explore, explore_builtins, explore_dag, explore_dag_builtins, explore_federation,
-    explore_federation_builtins, explore_replication, explore_replication_builtins,
-    DagExploreConfig, DagExploreReport, DagFailure, ExploreConfig, ExploreReport, Failure,
-    FedExploreConfig, FedExploreReport, FedFailure, ReplExploreConfig, ReplExploreReport,
-    ReplFailure,
-};
+pub use explorer::{explore, Activity, ExploreConfig, Failure, Report};
 pub use oracle::{check_log, Oracle, OracleOptions, Violation};
 pub use scenario::{
-    DagScenario, FaultDef, FedScenario, FedSeeds, JobDef, Protocol, ReplScenario, Scenario,
-    ThreadedRun,
+    Family, FaultDef, Federation, JobDef, Load, Mutation, Outcome, Protocol, Replay, Replication,
+    Runtime, Scenario,
 };

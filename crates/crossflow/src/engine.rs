@@ -1248,10 +1248,16 @@ impl<'a> Engine<'a> {
 
     /// The preferred destination for a new copy of `obj`: the live,
     /// non-draining worker with the most free store bytes that does
-    /// not already hold it (ties broken by lowest id).
-    fn repair_dest(&self, obj: ObjectId) -> Option<WorkerId> {
+    /// not already hold it (ties broken by lowest id). With
+    /// `retaining`, only stores that could keep the copy beside their
+    /// pinned bytes qualify: a copy that passes through leaves the
+    /// artifact under-replicated, and picking the same pin-full store
+    /// again would repeat forever.
+    fn repair_dest(&self, obj: ObjectId, retaining: bool) -> Option<WorkerId> {
+        let bytes = self.replicas.bytes(obj).unwrap_or(0);
         (0..self.nodes.len())
             .filter(|&i| self.active[i] && !self.draining[i] && !self.replicas.holds(obj, i as u32))
+            .filter(|&i| !retaining || bytes <= self.nodes[i].store.retainable())
             .max_by_key(|&i| {
                 let free = self.nodes[i]
                     .store
@@ -1287,7 +1293,10 @@ impl<'a> Engine<'a> {
             // repair was in flight the oracle reports the loss.
             return;
         };
-        let Some(dest) = self.repair_dest(obj) else {
+        // No store can keep a copy: start nothing. The artifact's next
+        // new copy, or the next crash/removal or failover scan, tries
+        // again.
+        let Some(dest) = self.repair_dest(obj, true) else {
             return;
         };
         if !self.note_sched(
@@ -1732,7 +1741,7 @@ impl<'a> Engine<'a> {
                     // second `repair_start` (that would double-count
                     // the decision).
                     let bytes = self.replicas.bytes(object);
-                    match (self.repair_dest(object), bytes) {
+                    match (self.repair_dest(object, false), bytes) {
                         (Some(nd), Some(bytes)) => {
                             self.repairs.insert(object, nd);
                             self.queue_repair_copy(object, bytes, nd);

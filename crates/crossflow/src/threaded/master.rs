@@ -949,19 +949,25 @@ pub(crate) fn run_threaded_with_shareds(
     };
 
     // Drain the data plane's journal into the replicated log, in the
-    // order the critical sections produced it. Returns `true` when a
-    // replica set changed — the signal to re-scan for repairs.
-    let drain_repl = |st: &mut MasterState| -> bool {
+    // order the critical sections produced it. Returns what to re-scan
+    // for repairs, as the sim engine does: a copy lost to a crash,
+    // removal or departure re-scans every artifact (`true`); a new
+    // copy tops up its own artifact (the returned ids). A copy lost to
+    // eviction re-scans nothing until the next failure: repairing it
+    // at once lets repair copies evict each other forever when the
+    // stores cannot hold every artifact at its factor.
+    let drain_repl = |st: &mut MasterState| -> (bool, Vec<ObjectId>) {
         let Some(r) = &repl else {
-            return false;
+            return (false, Vec::new());
         };
         let entries = std::mem::take(&mut r.lock().journal);
-        let mut changed = false;
+        let (mut scan_all, mut added) = (false, Vec::new());
         for (w, job, kind) in entries {
-            changed |= matches!(
-                kind,
-                SchedEventKind::ReplicaAdd { .. } | SchedEventKind::ReplicaDrop { .. }
-            );
+            match kind {
+                SchedEventKind::ReplicaAdd { object } => added.push(ObjectId(object)),
+                SchedEventKind::ReplicaDrop { evicted, .. } => scan_all |= !evicted,
+                _ => {}
+            }
             st.commit(SchedEvent {
                 at: vnow(),
                 worker: Some(WorkerId(w)),
@@ -969,40 +975,49 @@ pub(crate) fn run_threaded_with_shareds(
                 kind,
             });
         }
-        changed
+        (scan_all, added)
     };
 
-    // Under-replication scan: for every artifact below its factor with
-    // no repair in flight, pick the live source and the eligible
-    // destination with the most free store bytes, commit the
-    // `repair_start` decision (commit-before-copy), and arm the copy
-    // timer. Free-byte snapshots are collected one shared lock at a
-    // time *before* the repl lock, per the lock order.
-    let scan_repairs = |st: &mut MasterState, timers: &mut Vec<(Instant, ObjectId, u32, u64)>| {
+    // Under-replication scan over `only` (every artifact when `None`):
+    // for each artifact below its factor with no repair in flight,
+    // pick the live source and, among the eligible stores that could
+    // retain the copy beside their pinned bytes, the one with the most
+    // free bytes; commit the `repair_start` decision
+    // (commit-before-copy), and arm the copy timer. No retaining store
+    // means no repair: a copy that passes through leaves the artifact
+    // under-replicated. Store snapshots are collected one shared lock
+    // at a time *before* the repl lock, per the lock order.
+    let scan_repairs = |st: &mut MasterState,
+                        timers: &mut Vec<(Instant, ObjectId, u32, u64)>,
+                        only: Option<&[ObjectId]>| {
         let Some(r) = &repl else {
             return;
         };
         if st.failover_pending {
             return;
         }
-        let free: Vec<u64> = shareds
+        let (free, retainable): (Vec<u64>, Vec<u64>) = shareds
             .iter()
             .map(|s| {
                 let s = s.lock();
-                s.store.capacity().saturating_sub(s.store.used())
+                (
+                    s.store.capacity().saturating_sub(s.store.used()),
+                    s.store.retainable(),
+                )
             })
-            .collect();
+            .unzip();
         let picks: Vec<(ObjectId, u32, u32, u64)> = {
             let rs = r.lock();
             rs.map
                 .under_replicated()
                 .into_iter()
-                .filter(|obj| !rs.repairs.contains_key(obj))
+                .filter(|obj| only.is_none_or(|o| o.contains(obj)) && !rs.repairs.contains_key(obj))
                 .filter_map(|obj| {
                     let src = rs.map.replicas(obj).find(|&h| rs.alive[h as usize])?;
                     let bytes = rs.map.bytes(obj)?;
                     let dest = (0..n as u32)
                         .filter(|&w| st.eligible(w) && !rs.map.holds(obj, w))
+                        .filter(|&w| bytes <= retainable[w as usize])
                         .max_by_key(|&w| (free[w as usize], std::cmp::Reverse(w)))?;
                     Some((obj, src, dest, bytes))
                 })
@@ -1571,8 +1586,9 @@ pub(crate) fn run_threaded_with_shareds(
         }
 
         // Replicated data plane: land matured repair copies, commit
-        // the journal, and re-scan whenever a replica set changed.
+        // the journal, and re-scan as `drain_repl` directs.
         if let Some(r) = &repl {
+            let mut landed = Vec::new();
             let mut i = 0;
             while i < repair_timers.len() {
                 if repair_timers[i].0 > now {
@@ -1625,7 +1641,8 @@ pub(crate) fn run_threaded_with_shareds(
                 }
                 // The copy lands: insert on the destination (its pins
                 // applied first), journal `repair_done` before the
-                // replica bookkeeping, and let the scan below top up.
+                // replica bookkeeping, and let the scan below top up
+                // (also after a pass-through, which adds no copy).
                 let mut s = shareds[d].lock();
                 let mut rs = r.lock();
                 rs.apply_pin_ops(dest, &mut s.store);
@@ -1635,9 +1652,12 @@ pub(crate) fn run_threaded_with_shareds(
                     .push((dest, None, SchedEventKind::RepairDone { object: obj.0 }));
                 st.m.repairs_completed.inc();
                 rs.note_insert(dest, &s.store, obj, bytes, evicted);
+                landed.push(obj);
             }
-            if drain_repl(&mut st) {
-                scan_repairs(&mut st, &mut repair_timers);
+            let (scan_all, mut top_up) = drain_repl(&mut st);
+            top_up.extend(landed);
+            if scan_all || !top_up.is_empty() {
+                scan_repairs(&mut st, &mut repair_timers, (!scan_all).then_some(&top_up));
             }
         }
 
@@ -1647,6 +1667,9 @@ pub(crate) fn run_threaded_with_shareds(
         // handles at most one message, so one check per pass suffices.
         if st.failover_pending {
             do_failover(&mut st, &worker_txs, &down_since, &mut repair_timers);
+            // As in the sim engine, the new leader re-issues every
+            // repair whose decision truncated with the dead one.
+            scan_repairs(&mut st, &mut repair_timers, None);
         }
 
         // Are we done? (`>=`: the DropDedup mutation can double-count

@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [fig2|fig3|fig4|tables|summary|extensions|crash_sweep|crossover|replication|trace|check|netfault|failover|federate|atomize|replicate|all]
+//! repro [fig2|fig3|fig4|tables|summary|extensions|crash_sweep|crossover|seed_study|trace|sweep|bench|all]
 //!       [--smoke] [--seed N] [--out DIR] [--trace FILE]
 //! ```
 //!
@@ -12,66 +12,18 @@
 //!
 //! `fig3`/`fig4`/`summary` share one grid execution; `fig2` runs the
 //! Spark comparison; `tables` runs the threaded-runtime MSR
-//! experiment. `--smoke` shrinks everything for a fast check.
+//! experiment; `seed_study [--reps R]` re-runs the grid under `R`
+//! independent seeds. `--smoke` shrinks everything for a fast check.
 //!
-//! The `check` artifact runs every built-in checker scenario through
-//! the protocol invariant oracle on both runtimes and exits nonzero
-//! on any violation:
-//!
-//! ```text
-//! repro check [--iters N] [--seed K]
-//! ```
-//!
-//! The `netfault` artifact sweeps a loss-rate × partition-length grid
-//! of lossy-link plans over the same scenarios on both runtimes and
-//! exits nonzero unless every run completes all jobs with
-//! exactly-once effects and zero violations:
+//! The `sweep` artifact runs the checker's built-in scenarios through
+//! the protocol invariant oracle on both runtimes, one axis at a time
+//! (every axis without `--axis`; see [`crossbid_experiments::sweep`]),
+//! and exits nonzero on any violation, lost or duplicated work, inert
+//! sweep, or failed headline comparison:
 //!
 //! ```text
-//! repro netfault [--iters N] [--seed K]
-//! ```
-//!
-//! The `failover` artifact sweeps seeded master-crash indices over the
-//! same scenarios on both runtimes — the leader dies mid-protocol and
-//! an elected standby must finish every job exactly once by log
-//! replay — and exits nonzero on any violation, lost job, or sweep in
-//! which no crash actually fired:
-//!
-//! ```text
-//! repro failover [--iters N] [--seed K]
-//! ```
-//!
-//! The `federate` artifact sweeps the sharded multi-master federation
-//! axis (shard count × spill threshold × membership churn) on both
-//! runtimes, then runs the 1000-worker four-master headline scenario
-//! and its spilling-disabled control; it exits nonzero on any oracle
-//! violation, lost or duplicated hand-off, inert sweep, or if
-//! cross-shard spillover fails to beat the saturated single master:
-//!
-//! ```text
-//! repro federate [--iters N] [--seed K] [--smoke]
-//! ```
-//!
-//! The `atomize` artifact sweeps the task-level DAG axis (atomizer +
-//! speculative straggler re-bidding) on both runtimes, then runs the
-//! headline task-level vs whole-job vs Spark-static comparison; it
-//! exits nonzero on any oracle violation, lost task, sweep with no
-//! speculative re-bid, or if task-level fails to beat whole-job on
-//! the straggler scenario:
-//!
-//! ```text
-//! repro atomize [--iters N] [--seed K] [--smoke]
-//! ```
-//!
-//! The `replicate` artifact sweeps the replicated-data-plane axis
-//! (replication factor × holder crash × peer-transfer loss × eviction
-//! pressure) on both runtimes, then runs the factor {1,2,3} × crash ×
-//! loss headline product; it exits nonzero on any oracle violation,
-//! lost or duplicated job, sweep that never completed a
-//! re-replication, or headline row with no peer fetch retry:
-//!
-//! ```text
-//! repro replicate [--iters N] [--seed K] [--smoke]
+//! repro sweep [--axis chaos|netfault|failover|federation|dag|replication]
+//!             [--iters N] [--seed K] [--smoke]
 //! ```
 //!
 //! The `trace` artifact runs one scenario with full observability on
@@ -95,16 +47,11 @@
 //! repro bench --check FILE     # schema-validate an existing document
 //! ```
 
-use crossbid_experiments::atomize::{self, AtomizeConfig};
 use crossbid_experiments::bench::{self, BenchConfig};
-use crossbid_experiments::check::{self, CheckConfig};
-use crossbid_experiments::failover::{self, FailoverConfig};
-use crossbid_experiments::federate::{self, FederateConfig};
-use crossbid_experiments::netfault::{self, NetFaultConfig};
-use crossbid_experiments::replicate::{self, ReplicateConfig};
+use crossbid_experiments::sweep::{self, Axis, SweepConfig};
 use crossbid_experiments::trace_run::{self, RuntimeChoice, TraceRunConfig};
 use crossbid_experiments::{
-    crash_sweep, crossover, extensions, fig2, fig3, fig4, replication, summary, tables,
+    crash_sweep, crossover, extensions, fig2, fig3, fig4, seed_study, summary, tables,
     ExperimentConfig,
 };
 use crossbid_metrics::SchedulerKind;
@@ -245,15 +192,15 @@ fn main() {
             let points = crossover::run(&cfg);
             emit("crossover", &crossover::render(&points));
         }
-        "replication" => {
+        "seed_study" => {
             let reps = args
                 .iter()
                 .position(|a| a == "--reps")
                 .and_then(|i| args.get(i + 1))
                 .and_then(|s| s.parse::<u32>().ok())
                 .unwrap_or(5);
-            let rs = replication::run(&cfg, reps);
-            emit("replication", &replication::render(&rs));
+            let rs = seed_study::run(&cfg, reps);
+            emit("seed_study", &seed_study::render(&rs));
         }
         "tables" => {
             let exp = if smoke {
@@ -264,138 +211,35 @@ fn main() {
             let res = tables::run(&exp);
             emit("tables", &tables::render(&res));
         }
-        "check" => {
-            let mut ccfg = CheckConfig::default();
-            if let Some(v) = args
+        "sweep" => {
+            let axes = match args
                 .iter()
-                .position(|a| a == "--iters")
+                .position(|a| a == "--axis")
                 .and_then(|i| args.get(i + 1))
             {
-                ccfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                ccfg.seed = s;
-            }
-            if smoke {
-                ccfg.iters = ccfg.iters.min(2);
-            }
-            let report = check::run(&ccfg);
-            emit("check", &report.body);
-            if !report.ok {
-                eprintln!("[repro] check FAILED");
-                std::process::exit(1);
-            }
-        }
-        "netfault" => {
-            let mut ncfg = NetFaultConfig::default();
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                ncfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                ncfg.seed = s;
-            }
-            if smoke {
-                ncfg.iters = ncfg.iters.min(1);
-            }
-            let report = netfault::run(&ncfg);
-            emit("netfault", &report.body);
-            if !report.ok {
-                eprintln!("[repro] netfault FAILED");
-                std::process::exit(1);
-            }
-        }
-        "failover" => {
-            let mut fcfg = FailoverConfig::default();
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                fcfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                fcfg.seed = s;
-            }
-            if smoke {
-                fcfg.iters = fcfg.iters.min(2);
-            }
-            let report = failover::run(&fcfg);
-            emit("failover", &report.body);
-            if !report.ok {
-                eprintln!("[repro] failover FAILED");
-                std::process::exit(1);
-            }
-        }
-        "federate" => {
-            let mut fcfg = if smoke {
-                FederateConfig::smoke()
-            } else {
-                FederateConfig::default()
+                Some(v) => vec![Axis::from_name(v).unwrap_or_else(|| {
+                    die(&format!(
+                        "unknown axis '{v}' (chaos|netfault|failover|federation|dag|replication)"
+                    ))
+                })],
+                None => Axis::ALL.to_vec(),
             };
-            if let Some(v) = args
+            let iters = args
                 .iter()
                 .position(|a| a == "--iters")
                 .and_then(|i| args.get(i + 1))
-            {
-                fcfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
+                .map(|v| v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}"))));
+            let mut ok = true;
+            for axis in axes {
+                let mut scfg = SweepConfig::new(axis, smoke);
+                scfg.iters = iters.unwrap_or(scfg.iters);
+                scfg.seed = seed.unwrap_or(scfg.seed);
+                let report = sweep::run(&scfg);
+                emit(&format!("sweep_{}", axis.name()), &report.body);
+                ok &= report.ok;
             }
-            if let Some(s) = seed {
-                fcfg.seed = s;
-            }
-            let report = federate::run(&fcfg);
-            emit("federate", &report.body);
-            if !report.ok {
-                eprintln!("[repro] federate FAILED");
-                std::process::exit(1);
-            }
-        }
-        "replicate" => {
-            let mut rcfg = if smoke {
-                ReplicateConfig::smoke()
-            } else {
-                ReplicateConfig::default()
-            };
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                rcfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                rcfg.seed = s;
-            }
-            let report = replicate::run(&rcfg);
-            emit("replicate", &report.body);
-            if !report.ok {
-                eprintln!("[repro] replicate FAILED");
-                std::process::exit(1);
-            }
-        }
-        "atomize" => {
-            let mut acfg = if smoke {
-                AtomizeConfig::smoke()
-            } else {
-                AtomizeConfig::default()
-            };
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                acfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                acfg.seed = s;
-            }
-            let report = atomize::run(&acfg);
-            emit("atomize", &report.body);
-            if !report.ok {
-                eprintln!("[repro] atomize FAILED");
+            if !ok {
+                eprintln!("[repro] sweep FAILED");
                 std::process::exit(1);
             }
         }
@@ -552,7 +396,7 @@ fn main() {
             }
         }
         other => {
-            eprintln!("unknown artifact '{other}'; use fig2|fig3|fig4|tables|summary|extensions|crash_sweep|crossover|replication|trace|check|netfault|failover|federate|atomize|replicate|bench|all");
+            eprintln!("unknown artifact '{other}'; use fig2|fig3|fig4|tables|summary|extensions|crash_sweep|crossover|seed_study|trace|sweep|bench|all");
             std::process::exit(2);
         }
     }

@@ -18,23 +18,18 @@
 
 #[cfg(feature = "bench-alloc")]
 pub mod allocmeter;
-pub mod atomize;
 pub mod bench;
-pub mod check;
 pub mod config;
 pub mod crash_sweep;
 pub mod crossover;
 pub mod extensions;
-pub mod failover;
-pub mod federate;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod netfault;
-pub mod replicate;
-pub mod replication;
 pub mod runner;
+pub mod seed_study;
 pub mod summary;
+pub mod sweep;
 pub mod tables;
 pub mod trace_run;
 

@@ -150,6 +150,13 @@ impl LocalStore {
         self.stats = StoreStats::default();
     }
 
+    /// The largest object an insert would retain rather than pass
+    /// through: capacity minus pinned bytes (unpinned residents can be
+    /// evicted to make room).
+    pub fn retainable(&self) -> u64 {
+        self.capacity.saturating_sub(self.pinned_bytes)
+    }
+
     /// Non-mutating membership check used when *estimating* bids —
     /// checking "the contents of local cache memory" must not perturb
     /// recency or hit/miss accounting.
@@ -193,7 +200,7 @@ impl LocalStore {
             e.uses += 1;
             return Vec::new();
         }
-        if size > self.capacity.saturating_sub(self.pinned_bytes) {
+        if size > self.retainable() {
             // Pass-through: downloaded but cannot be retained, either
             // because the object exceeds the whole capacity or because
             // pinned last-copy entries leave too little evictable
@@ -497,6 +504,7 @@ mod tests {
         let mut s = LocalStore::new(100, EvictionPolicy::Lru);
         s.insert(ObjectId(1), 80, t(0));
         assert!(s.pin(ObjectId(1)));
+        assert_eq!(s.retainable(), 20, "only unpinned room can be retained");
         let evicted = s.insert(ObjectId(2), 50, t(1));
         assert!(evicted.is_empty(), "nothing evicted when admission fails");
         assert!(!s.peek(ObjectId(2)), "pass-through: not retained");

@@ -9,12 +9,12 @@
 
 use std::collections::BTreeMap;
 
-use crossbid_checker::{check_log, FedScenario, FedSeeds, OracleOptions, Protocol};
+use crossbid_checker::{check_log, Federation, Load, OracleOptions, Protocol, Replay, Scenario};
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
-    Arrival, EngineConfig, Faults, FedRuntimeKind, FederationMutation, JobSpec, MembershipPlan,
-    NetFaultPlan, Payload, ResourceRef, RunOutput, RunSpec, Runtime, SchedEventKind, SchedState,
-    ShardId, WorkerId, WorkerSpec, Workflow,
+    Arrival, EngineConfig, Faults, JobSpec, MembershipPlan, NetFaultPlan, Payload, ResourceRef,
+    RunOutput, RunSpec, Runtime, SchedEventKind, SchedState, ShardId, WorkerId, WorkerSpec,
+    Workflow,
 };
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
@@ -35,16 +35,20 @@ fn specs(n: usize) -> Vec<WorkerSpec> {
 
 /// A scenario shaped like the checker built-ins but with every axis a
 /// proptest variable.
-fn prop_scenario(shards: usize, jobs: usize, threshold: f64, churn: bool) -> FedScenario {
-    FedScenario {
-        name: "prop_fed",
-        protocol: Protocol::Bidding,
-        shards,
-        workers_per_shard: 2,
-        spill_threshold_secs: threshold,
-        gossip_loss: 0.0,
-        jobs,
-        churn,
+fn prop_scenario(shards: usize, jobs: usize, threshold: f64, churn: bool) -> Scenario {
+    Scenario {
+        federation: Some(Federation {
+            shards,
+            spill_threshold_secs: threshold,
+            gossip_loss: 0.0,
+            churn,
+        }),
+        ..Scenario::new(
+            "prop_fed",
+            Protocol::Bidding,
+            2,
+            Load::stream(jobs, 3, 0.5, 100_000_000),
+        )
     }
 }
 
@@ -66,7 +70,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let sc = prop_scenario(shards, jobs, threshold, churn);
-        let out = sc.run(FedRuntimeKind::Sim, FedSeeds::plain(seed), FederationMutation::None);
+        let outcome = sc.run(crossbid_checker::Runtime::Sim, &Replay::new(seed));
+        let out = outcome.federation().expect("a federation run");
 
         prop_assert!(
             check_log(&out.merged, sc.merged_oracle_options()).is_empty(),
@@ -74,7 +79,7 @@ proptest! {
         );
         for (s, shard) in out.shards.iter().enumerate() {
             prop_assert!(
-                check_log(&shard.sched_log, sc.shard_oracle_options()).is_empty(),
+                check_log(&shard.sched_log, sc.oracle_options(false)).is_empty(),
                 "shard {s} violations at seed {seed}"
             );
         }
@@ -91,7 +96,7 @@ proptest! {
         prop_assert_eq!(merged.completions, sum(|s| s.completions));
         prop_assert_eq!(merged.spill_outs, sum(|s| s.spill_outs));
         prop_assert_eq!(merged.spill_ins, sum(|s| s.spill_ins));
-        prop_assert_eq!(merged.completions, sc.total_jobs());
+        prop_assert_eq!(merged.completions, sc.expected_completions());
         prop_assert_eq!(merged.spill_outs, out.spills.len() as u64);
         prop_assert_eq!(merged.spill_ins, out.spills.len() as u64);
 
@@ -106,7 +111,7 @@ proptest! {
                 completions.entry(job).or_default().push(worker.shard());
             }
         }
-        prop_assert_eq!(completions.len() as u64, sc.total_jobs());
+        prop_assert_eq!(completions.len() as u64, sc.expected_completions());
         for (job, shards_seen) in completions {
             prop_assert_eq!(
                 shards_seen.len(),

@@ -1,5 +1,5 @@
-//! Focused lossy-link regressions that the broad `repro netfault`
-//! sweep only covers incidentally:
+//! Focused lossy-link regressions that the broad `repro sweep --axis
+//! netfault` grid only covers incidentally:
 //!
 //! - duplicate-intake guards: at-least-once delivery replays `Idle`
 //!   heartbeats and `Reject` answers, and the master must treat the
@@ -9,14 +9,48 @@
 //!   byte-identically from its `(run seed, net seed)` pair, because
 //!   that pair is the replay recipe every failure report prints.
 
-use crossbid_checker::{check_log, Scenario, ThreadedRun};
+use crossbid_checker::{Family, Outcome, Replay, Runtime, Scenario};
 use crossbid_crossflow::{LinkFault, NetFaultPlan};
+
+/// Every protocol builtin with `links` as its lossy-link shape.
+fn builtins_with(links: NetFaultPlan) -> Vec<Scenario> {
+    Scenario::builtins(Family::Protocol)
+        .into_iter()
+        .map(|sc| Scenario {
+            links: links.clone(),
+            ..sc
+        })
+        .collect()
+}
+
+/// One run of `sc` with its links armed from `net_seed`.
+fn run(sc: &Scenario, runtime: Runtime, run_seed: u64, net_seed: u64) -> Outcome {
+    let replay = Replay {
+        net: Some(net_seed),
+        ..Replay::new(run_seed)
+    };
+    sc.run(runtime, &replay)
+}
+
+/// Every job completed exactly once and the oracle is clean.
+fn assert_exactly_once(sc: &Scenario, out: &Outcome, what: &str) {
+    assert_eq!(
+        out.jobs_completed(),
+        sc.expected_completions(),
+        "{} {what}: {}/{} jobs completed",
+        sc.name,
+        out.jobs_completed(),
+        sc.expected_completions()
+    );
+    let (violations, _) = sc.violations(out, false);
+    assert!(violations.is_empty(), "{} {what}: {violations:?}", sc.name);
+}
 
 /// A plan that barely drops but duplicates aggressively in both
 /// directions: the worst case for intake-side dedup (replayed `Idle`,
 /// `Reject`, bids and `Done`) while keeping delivery near-certain so
 /// every scenario still has to complete.
-fn dup_heavy_plan(seed: u64) -> NetFaultPlan {
+fn dup_heavy_links() -> NetFaultPlan {
     let link = LinkFault {
         drop_prob: 0.05,
         dup_prob: 0.9,
@@ -26,18 +60,8 @@ fn dup_heavy_plan(seed: u64) -> NetFaultPlan {
     NetFaultPlan {
         to_worker: link,
         to_master: link,
-        seed,
         ..NetFaultPlan::none()
     }
-}
-
-fn counter(out: &crossbid_crossflow::RunOutput, name: &str) -> u64 {
-    out.metrics
-        .counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
 }
 
 /// Duplicated worker→master traffic (Idle beats, Reject answers,
@@ -47,25 +71,12 @@ fn counter(out: &crossbid_crossflow::RunOutput, name: &str) -> u64 {
 /// completion count.
 #[test]
 fn dup_heavy_links_keep_sim_exactly_once() {
-    for sc in Scenario::builtins() {
+    for sc in builtins_with(dup_heavy_links()) {
         for seed in [11u64, 12, 13] {
-            let out = sc.run_sim_with_net(seed, dup_heavy_plan(seed ^ 0xD0D0));
-            assert_eq!(
-                out.record.jobs_completed,
-                sc.jobs.len() as u64,
-                "{} seed {seed}: {}/{} jobs completed under dup-heavy links",
-                sc.name,
-                out.record.jobs_completed,
-                sc.jobs.len()
-            );
-            let violations = check_log(&out.sched_log, sc.oracle_options(false));
+            let out = run(&sc, Runtime::Sim, seed, seed ^ 0xD0D0);
+            assert_exactly_once(&sc, &out, &format!("seed {seed} under dup-heavy links"));
             assert!(
-                violations.is_empty(),
-                "{} seed {seed}: {violations:?}",
-                sc.name
-            );
-            assert!(
-                counter(&out, "net/duplicated") > 0,
+                out.counter("net/duplicated") > 0,
                 "{} seed {seed}: the dup axis never fired, test proves nothing",
                 sc.name
             );
@@ -78,22 +89,10 @@ fn dup_heavy_links_keep_sim_exactly_once() {
 /// the work.
 #[test]
 fn dup_heavy_links_keep_threaded_exactly_once() {
-    for sc in Scenario::builtins() {
+    for sc in builtins_with(dup_heavy_links()) {
         let run_seed = 0x1D1E;
-        let out = sc.run_threaded(&ThreadedRun {
-            netfault: Some(dup_heavy_plan(run_seed ^ 0x4E37)),
-            ..ThreadedRun::plain(run_seed)
-        });
-        assert_eq!(
-            out.record.jobs_completed,
-            sc.jobs.len() as u64,
-            "{}: {}/{} jobs completed under dup-heavy links",
-            sc.name,
-            out.record.jobs_completed,
-            sc.jobs.len()
-        );
-        let violations = check_log(&out.sched_log, sc.oracle_options(false));
-        assert!(violations.is_empty(), "{}: {violations:?}", sc.name);
+        let out = run(&sc, Runtime::Threaded, run_seed, run_seed ^ 0x4E37);
+        assert_exactly_once(&sc, &out, "under dup-heavy links");
     }
 }
 
@@ -113,47 +112,24 @@ fn constant_delay_links_stay_exactly_once() {
         delay_min_secs: 0.01,
         delay_max_secs: 0.01,
     };
-    let plan = || NetFaultPlan {
+    let links = NetFaultPlan {
         to_worker: link,
         to_master: link,
-        seed: 0xDE1A,
         ..NetFaultPlan::none()
     };
-    for sc in Scenario::builtins() {
-        let sim = sc.run_sim_with_net(9, plan());
-        assert_eq!(
-            sim.record.jobs_completed,
-            sc.jobs.len() as u64,
-            "{}: sim under constant-delay links",
-            sc.name
-        );
-        let violations = check_log(&sim.sched_log, sc.oracle_options(false));
-        assert!(violations.is_empty(), "{}: sim {violations:?}", sc.name);
+    for sc in builtins_with(links) {
+        let sim = run(&sc, Runtime::Sim, 9, 0xDE1A);
+        assert_exactly_once(&sc, &sim, "sim under constant-delay links");
         // And the replay contract holds: the identical run again.
-        let again = sc.run_sim_with_net(9, plan());
+        let again = run(&sc, Runtime::Sim, 9, 0xDE1A);
         assert_eq!(
-            format!("{:?}", sim.sched_log.events()),
-            format!("{:?}", again.sched_log.events()),
+            format!("{:?}", sim.log().events()),
+            format!("{:?}", again.log().events()),
             "{}: constant-delay sim run did not replay",
             sc.name
         );
-
-        let thr = sc.run_threaded(&ThreadedRun {
-            netfault: Some(plan()),
-            ..ThreadedRun::plain(9)
-        });
-        assert_eq!(
-            thr.record.jobs_completed,
-            sc.jobs.len() as u64,
-            "{}: threaded under constant-delay links",
-            sc.name
-        );
-        let violations = check_log(&thr.sched_log, sc.oracle_options(false));
-        assert!(
-            violations.is_empty(),
-            "{}: threaded {violations:?}",
-            sc.name
-        );
+        let thr = run(&sc, Runtime::Threaded, 9, 0xDE1A);
+        assert_exactly_once(&sc, &thr, "threaded under constant-delay links");
     }
 }
 
@@ -163,24 +139,23 @@ fn constant_delay_links_stay_exactly_once() {
 /// worthless.
 #[test]
 fn lossy_sim_runs_replay_byte_identically() {
-    for sc in Scenario::builtins() {
-        let plan = || {
-            NetFaultPlan::lossy(0xACE, 0.3, 0.15).with_partition(
-                None,
-                crossbid_simcore::SimTime::from_secs(2),
-                crossbid_simcore::SimTime::from_secs(4),
-            )
-        };
-        let a = sc.run_sim_with_net(42, plan());
-        let b = sc.run_sim_with_net(42, plan());
+    let links = NetFaultPlan::lossy(0, 0.3, 0.15).with_partition(
+        None,
+        crossbid_simcore::SimTime::from_secs(2),
+        crossbid_simcore::SimTime::from_secs(4),
+    );
+    for sc in builtins_with(links) {
+        let a = run(&sc, Runtime::Sim, 42, 0xACE);
+        let b = run(&sc, Runtime::Sim, 42, 0xACE);
         assert_eq!(
-            format!("{:?}", a.sched_log.events()),
-            format!("{:?}", b.sched_log.events()),
+            format!("{:?}", a.log().events()),
+            format!("{:?}", b.log().events()),
             "{}: two identical lossy runs diverged",
             sc.name
         );
         assert_eq!(
-            a.metrics.counters, b.metrics.counters,
+            a.runs()[0].metrics.counters,
+            b.runs()[0].metrics.counters,
             "{}: reliability counters diverged between identical runs",
             sc.name
         );

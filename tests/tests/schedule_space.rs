@@ -9,11 +9,11 @@
 //! Seeds are fixed so CI runs are reproducible; the scheduled
 //! extended-exploration workflow sweeps fresh seeds.
 
-use crossbid_checker::{explore, explore_builtins, explore_federation, ExploreConfig, Protocol};
-use crossbid_checker::{explore_dag, explore_dag_builtins, DagExploreConfig, DagScenario};
-use crossbid_checker::{explore_replication, explore_replication_builtins};
-use crossbid_checker::{Failure, FedExploreConfig, FedScenario, JobDef, Scenario, Violation};
-use crossbid_checker::{ReplExploreConfig, ReplScenario};
+use std::collections::{BTreeSet, HashSet};
+use std::mem::{discriminant, Discriminant};
+
+use crossbid_checker::{explore, ExploreConfig, Failure, Family, Report, Runtime, Scenario};
+use crossbid_checker::{JobDef, Load, Mutation, Protocol, Replay, Violation};
 use crossbid_crossflow::{FederationMutation, ProtocolMutation};
 
 /// Chaos sweep over every built-in scenario. `CHECKER_ITERS` lets the
@@ -25,10 +25,18 @@ fn sweep_iters(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
+/// Explore every builtin of `family` under `cfg`.
+fn explore_family(family: Family, cfg: &ExploreConfig) -> Vec<Report> {
+    Scenario::builtins(family)
+        .iter()
+        .map(|sc| explore(sc, cfg))
+        .collect()
+}
+
 #[test]
 fn correct_protocol_survives_chaos_on_every_builtin_scenario() {
     let cfg = ExploreConfig::quick(sweep_iters(4), 0xC0FFEE);
-    for report in explore_builtins(&cfg) {
+    for report in explore_family(Family::Protocol, &cfg) {
         assert!(report.passed(), "{}", report.render());
     }
 }
@@ -41,29 +49,20 @@ fn correct_protocol_survives_lossy_links_on_every_builtin_scenario() {
     // layer (acks + seeded retries + leases + dedup) must still land
     // every scenario with exactly-once effects and sim parity.
     let cfg = ExploreConfig::netfault(sweep_iters(3), 0xFEED5EED);
-    for report in explore_builtins(&cfg) {
+    for report in explore_family(Family::Protocol, &cfg) {
         assert!(report.passed(), "{}", report.render());
     }
 }
 
 fn builtin(name: &str) -> Scenario {
-    Scenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known scenario")
+    Scenario::builtin(name).expect("known scenario")
 }
 
 fn mutated(mutation: ProtocolMutation, iters: u32, seed: u64) -> ExploreConfig {
     ExploreConfig {
-        iters,
-        base_seed: seed,
-        mutation,
-        chaos: true,
-        netfault: false,
-        master_crash: false,
-        strict_reoffer: false,
-        parity: false,
+        mutation: mutation.into(),
         repro_attempts: 2,
+        ..ExploreConfig::quick(iters, seed)
     }
 }
 
@@ -85,10 +84,10 @@ fn assert_replayable(report_text: &str, f: &Failure, expect_schedule: bool) {
     assert!(report_text.contains("VIOLATION"), "{report_text}");
     assert!(report_text.contains("minimal repro"), "{report_text}");
     assert!(
-        report_text.contains(&format!("run seed {}", f.run_seed)),
+        report_text.contains(&format!("run seed {}", f.replay.run)),
         "{report_text}"
     );
-    assert!(!f.kept_jobs.is_empty());
+    assert!(f.replay.keep_jobs.as_ref().is_some_and(|k| !k.is_empty()));
     if expect_schedule {
         assert!(
             !f.schedule.is_empty() && report_text.contains("delivery schedule"),
@@ -115,7 +114,7 @@ fn explorer_catches_reintroduced_nonfinite_bid_acceptance() {
         "{text}"
     );
     assert!(
-        f.kept_jobs.len() < sc.jobs.len(),
+        f.replay.keep_jobs.as_ref().expect("shrunk").len() < sc.job_count(),
         "shrinking must drop at least one job: {text}"
     );
     assert_replayable(&text, f, true);
@@ -172,18 +171,12 @@ fn explorer_catches_reintroduced_late_bid_acceptance() {
 /// (reject-once), so a *direct* bounce back to the last rejector is
 /// unambiguous — no chaos, no racing jobs.
 fn lone_job_baseline() -> Scenario {
-    Scenario {
-        name: "lone_job_baseline",
-        protocol: Protocol::Baseline,
-        workers: 3,
-        jobs: vec![JobDef {
-            at_secs: 0.0,
-            object: 1,
-            bytes: 50_000_000,
-        }],
-        faults: Vec::new(),
-        expect_all_complete: true,
-    }
+    Scenario::new(
+        "lone_job_baseline",
+        Protocol::Baseline,
+        3,
+        Load::stream(1, 1, 0.0, 50_000_000),
+    )
 }
 
 #[test]
@@ -206,7 +199,7 @@ fn explorer_catches_removed_done_dedup() {
         "{text}"
     );
     assert!(
-        text.contains(&format!("net seed {}", f.net_seed.expect("netfault run"))),
+        text.contains(&format!("net seed {}", f.replay.net.expect("netfault run"))),
         "net-fault failures must print the replay triple: {text}"
     );
     assert_replayable(&text, f, false);
@@ -253,43 +246,38 @@ fn missing_leases_lose_jobs_behind_a_partition() {
     // bounce/re-dispatch loop keeps the job alive until the partition
     // heals and the next dispatch lands it; with leases off, nothing
     // ever does.
-    use crossbid_checker::{check_log, ThreadedRun};
     use crossbid_crossflow::{NetFaultPlan, RetryPolicy};
     use crossbid_simcore::SimTime;
     let sc = Scenario {
-        name: "partitioned_assign_bidding",
-        protocol: Protocol::Bidding,
-        workers: 2,
-        jobs: vec![
-            JobDef {
-                at_secs: 0.0,
-                object: 1,
-                bytes: 50_000_000,
-            },
-            JobDef {
-                at_secs: 0.2,
-                object: 1,
-                bytes: 50_000_000,
-            },
-        ],
-        faults: Vec::new(),
-        expect_all_complete: true,
-    };
-    let plan = |seed| {
-        NetFaultPlan::lossy(seed, 0.0, 0.0)
+        links: NetFaultPlan::lossy(0, 0.0, 0.0)
             .with_partition(None, SimTime::ZERO, SimTime::from_secs_f64(30.0))
             .with_retry(RetryPolicy {
                 max_attempts: 2,
                 ..RetryPolicy::default()
-            })
+            }),
+        ..Scenario::new(
+            "partitioned_assign_bidding",
+            Protocol::Bidding,
+            2,
+            Load::Jobs(
+                [0.0, 0.2]
+                    .map(|at_secs| JobDef {
+                        at_secs,
+                        object: 1,
+                        bytes: 50_000_000,
+                    })
+                    .to_vec(),
+            ),
+        )
     };
-    let run = |mutation, seed| {
-        let out = sc.run_threaded(&ThreadedRun {
-            netfault: Some(plan(seed)),
-            mutation,
-            ..ThreadedRun::plain(seed)
-        });
-        check_log(&out.sched_log, sc.oracle_options(false))
+    let run = |mutation: ProtocolMutation, seed| {
+        let replay = Replay {
+            net: Some(seed),
+            mutation: mutation.into(),
+            ..Replay::new(seed)
+        };
+        let out = sc.run(Runtime::Threaded, &replay);
+        sc.violations(&out, false).0
     };
     // Contrast: with leases armed the same partition is survivable.
     let clean = run(ProtocolMutation::None, 31);
@@ -313,16 +301,10 @@ fn explorer_catches_reintroduced_reoffer_to_rejector() {
     // PR 1 fix: a rejected job is re-offered to a *different* idle
     // worker. Strict mode is only sound without chaos, so this probe
     // runs deterministic delivery.
-    let strict = |mutation| ExploreConfig {
-        iters: 5,
-        base_seed: 19,
-        mutation,
-        chaos: false,
-        netfault: false,
-        master_crash: false,
-        strict_reoffer: true,
-        parity: true,
+    let strict = |mutation: ProtocolMutation| ExploreConfig {
+        mutation: mutation.into(),
         repro_attempts: 2,
+        ..ExploreConfig::strict(5, 19)
     };
     let sc = lone_job_baseline();
     // Contrast: the correct protocol passes the same strict probe.
@@ -346,15 +328,24 @@ fn explorer_catches_reintroduced_reoffer_to_rejector() {
 // ---------------------------------------------------------------------------
 // Federation self-validation: each canonical way to break the
 // exactly-once cross-shard hand-off must be caught by the federated
-// oracle, with the failing (run, chaos, net, membership) tuple printed
-// as the repro.
+// oracle, with the failing (run, chaos, net, membership) replay value
+// printed as the repro.
 // ---------------------------------------------------------------------------
 
-fn fed_builtin(name: &str) -> FedScenario {
-    FedScenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known federation scenario")
+/// A sim sweep of one builtin with a mutation armed.
+fn mutated_sim(
+    name: &str,
+    mutation: impl Into<Mutation>,
+    iters: u32,
+    seed: u64,
+) -> (Scenario, Report) {
+    let sc = builtin(name);
+    let cfg = ExploreConfig {
+        mutation: mutation.into(),
+        ..ExploreConfig::new(Runtime::Sim, iters, seed)
+    };
+    let report = explore(&sc, &cfg);
+    (sc, report)
 }
 
 fn assert_fed_replay_tuple(text: &str) {
@@ -366,24 +357,24 @@ fn assert_fed_replay_tuple(text: &str) {
 
 #[test]
 fn oracle_catches_a_lost_spill() {
-    let sc = fed_builtin("fed_2shard_spill");
     // Contrast: the correct hand-off passes the same sweep and spills.
-    let clean = explore_federation(&sc, &FedExploreConfig::quick(2, 0xFED5EED));
+    let (_, clean) = mutated_sim("fed_2shard_spill", FederationMutation::None, 2, 0xFED5EED);
     assert!(clean.passed(), "{}", clean.render());
-    assert!(clean.spills_observed > 0, "{}", clean.render());
+    assert!(clean.activity.spills > 0, "{}", clean.render());
 
-    let cfg = FedExploreConfig {
-        mutation: FederationMutation::LostSpill,
-        ..FedExploreConfig::quick(2, 0xFED5EED)
-    };
-    let report = explore_federation(&sc, &cfg);
+    let (_, report) = mutated_sim(
+        "fed_2shard_spill",
+        FederationMutation::LostSpill,
+        2,
+        0xFED5EED,
+    );
     let text = report.render();
     let f = report
         .failure
         .as_ref()
         .unwrap_or_else(|| panic!("a dropped hand-off must be caught: {text}"));
     assert!(
-        f.merged_violations.iter().any(|v| matches!(
+        f.violations.iter().any(|v| matches!(
             v,
             Violation::SpillOutWithoutSpillIn { .. } | Violation::JobLost { .. }
         )),
@@ -394,19 +385,19 @@ fn oracle_catches_a_lost_spill() {
 
 #[test]
 fn oracle_catches_a_double_spill() {
-    let sc = fed_builtin("fed_2shard_spill");
-    let cfg = FedExploreConfig {
-        mutation: FederationMutation::DoubleSpill,
-        ..FedExploreConfig::quick(2, 0xFED5EED)
-    };
-    let report = explore_federation(&sc, &cfg);
+    let (_, report) = mutated_sim(
+        "fed_2shard_spill",
+        FederationMutation::DoubleSpill,
+        2,
+        0xFED5EED,
+    );
     let text = report.render();
     let f = report
         .failure
         .as_ref()
         .unwrap_or_else(|| panic!("a duplicated hand-off must be caught: {text}"));
     assert!(
-        f.merged_violations.iter().any(|v| matches!(
+        f.violations.iter().any(|v| matches!(
             v,
             Violation::CompletedTwice { .. } | Violation::CompletedAfterSpillOut { .. }
         )),
@@ -415,23 +406,24 @@ fn oracle_catches_a_double_spill() {
     assert_fed_replay_tuple(&text);
 }
 
-fn dag_builtin(name: &str) -> DagScenario {
-    DagScenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known DAG scenario")
-}
-
 #[test]
 fn correct_atomizer_survives_both_runtimes_on_every_dag_builtin() {
-    for cfg in [
-        DagExploreConfig::quick(sweep_iters(2), 0xDA61),
-        DagExploreConfig::threaded(sweep_iters(2), 0xDA61),
-    ] {
-        for report in explore_dag_builtins(&cfg) {
+    for runtime in [Runtime::Sim, Runtime::Threaded] {
+        let cfg = ExploreConfig::new(runtime, sweep_iters(2), 0xDA61);
+        for report in explore_family(Family::Dag, &cfg) {
             assert!(report.passed(), "{}", report.render());
         }
     }
+}
+
+/// A threaded sweep of one builtin with a protocol mutation armed,
+/// deterministic delivery.
+fn mutated_threaded(name: &str, mutation: ProtocolMutation, iters: u32, seed: u64) -> Report {
+    let cfg = ExploreConfig {
+        mutation: mutation.into(),
+        ..ExploreConfig::new(Runtime::Threaded, iters, seed)
+    };
+    explore(&builtin(name), &cfg)
 }
 
 #[test]
@@ -440,12 +432,12 @@ fn explorer_catches_reintroduced_dag_gate_removal() {
     // removed every reducer is offered at registration, long before
     // its maps complete — an OfferBeforePredecessor violation on the
     // very first seed.
-    let sc = dag_builtin("dag_skewed_reduce");
-    let cfg = DagExploreConfig {
-        mutation: ProtocolMutation::OfferBeforePredecessor,
-        ..DagExploreConfig::threaded(4, 0xDA62)
-    };
-    let report = explore_dag(&sc, &cfg);
+    let report = mutated_threaded(
+        "dag_skewed_reduce",
+        ProtocolMutation::OfferBeforePredecessor,
+        4,
+        0xDA62,
+    );
     let text = report.render();
     let f = report
         .failure
@@ -465,12 +457,12 @@ fn explorer_catches_reintroduced_double_speculation() {
     // With the launched-once guard bypassed, every straggler sweep
     // re-replicates the same slow task — the second committed
     // SpecLaunch is a DuplicateSpeculation violation.
-    let sc = dag_builtin("dag_straggler");
-    let cfg = DagExploreConfig {
-        mutation: ProtocolMutation::DoubleSpeculate,
-        ..DagExploreConfig::threaded(4, 0xDA63)
-    };
-    let report = explore_dag(&sc, &cfg);
+    let report = mutated_threaded(
+        "dag_straggler",
+        ProtocolMutation::DoubleSpeculate,
+        4,
+        0xDA63,
+    );
     let text = report.render();
     let f = report
         .failure
@@ -489,26 +481,50 @@ fn explorer_catches_reintroduced_double_speculation() {
 // Replicated-data-plane self-validation: the canonical ways to break
 // the self-healing promise (committing a repair and never copying;
 // evicting a sole surviving replica) must be caught on both runtimes,
-// with the failing (run, net) tuple printed as the repro.
+// with the failing (run, net) replay value printed as the repro.
 // ---------------------------------------------------------------------------
-
-fn repl_builtin(name: &str) -> ReplScenario {
-    ReplScenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known replication scenario")
-}
 
 #[test]
 fn correct_replication_survives_both_runtimes_on_every_repl_builtin() {
+    let iters = sweep_iters(2);
     for cfg in [
-        ReplExploreConfig::quick(sweep_iters(2), 0x9E97),
-        ReplExploreConfig::lossy(sweep_iters(2), 0x9E97),
-        ReplExploreConfig::threaded(sweep_iters(2), 0x9E97),
+        ExploreConfig::new(Runtime::Sim, iters, 0x9E97),
+        ExploreConfig {
+            netfault: true,
+            ..ExploreConfig::new(Runtime::Sim, iters, 0x9E97)
+        },
+        ExploreConfig::new(Runtime::Threaded, iters, 0x9E97),
     ] {
-        for report in explore_replication_builtins(&cfg) {
+        for report in explore_family(Family::Replication, &cfg) {
             assert!(report.passed(), "{}", report.render());
         }
+    }
+}
+
+/// Sweep `name` with `mutation` on both runtimes; each must catch a
+/// violation matching `caught` and print the replay value.
+fn assert_caught_on_both_runtimes(
+    name: &str,
+    mutation: ProtocolMutation,
+    seed: u64,
+    caught: fn(&Violation) -> bool,
+) {
+    for runtime in [Runtime::Sim, Runtime::Threaded] {
+        let cfg = ExploreConfig {
+            mutation: mutation.into(),
+            ..ExploreConfig::new(runtime, 2, seed)
+        };
+        let report = explore(&builtin(name), &cfg);
+        let text = report.render();
+        let f = report
+            .failure
+            .as_ref()
+            .unwrap_or_else(|| panic!("{}: {mutation:?} must be caught: {text}", runtime.name()));
+        assert!(f.violations.iter().any(caught), "{text}");
+        assert!(
+            text.contains("run seed") && text.contains("net seed"),
+            "replay tuple missing: {text}"
+        );
     }
 }
 
@@ -518,36 +534,9 @@ fn explorer_catches_reintroduced_skipped_repair() {
     // master must commit `repair_start` entries. With the copy step
     // sabotaged every committed repair dangles — the oracle's
     // end-of-log RepairNeverCompleted catcher.
-    let sc = repl_builtin("repl_f2_crash");
-    for cfg in [
-        ReplExploreConfig {
-            mutation: ProtocolMutation::SkipRepair,
-            ..ReplExploreConfig::quick(2, 0x9E98)
-        },
-        ReplExploreConfig {
-            mutation: ProtocolMutation::SkipRepair,
-            ..ReplExploreConfig::threaded(2, 0x9E98)
-        },
-    ] {
-        let report = explore_replication(&sc, &cfg);
-        let text = report.render();
-        let f = report.failure.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}: a skipped repair must be caught: {text}",
-                report.runtime
-            )
-        });
-        assert!(
-            f.violations
-                .iter()
-                .any(|v| matches!(v, Violation::RepairNeverCompleted { .. })),
-            "{text}"
-        );
-        assert!(
-            text.contains("run seed") && text.contains("net seed"),
-            "replay tuple missing: {text}"
-        );
-    }
+    assert_caught_on_both_runtimes("repl_f2_crash", ProtocolMutation::SkipRepair, 0x9E98, |v| {
+        matches!(v, Violation::RepairNeverCompleted { .. })
+    });
 }
 
 #[test]
@@ -556,31 +545,84 @@ fn explorer_catches_reintroduced_last_copy_eviction() {
     // (both resident objects are pinned sole copies). With the pin
     // discipline sabotaged the store evicts a last copy instead — an
     // EvictedLastCopy violation at the drop event.
-    let sc = repl_builtin("repl_f1_evict_pressure");
-    for cfg in [
-        ReplExploreConfig {
-            mutation: ProtocolMutation::EvictLastCopy,
-            ..ReplExploreConfig::quick(2, 0x9E99)
-        },
-        ReplExploreConfig {
-            mutation: ProtocolMutation::EvictLastCopy,
-            ..ReplExploreConfig::threaded(2, 0x9E99)
-        },
-    ] {
-        let report = explore_replication(&sc, &cfg);
-        let text = report.render();
-        let f = report.failure.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}: a last-copy eviction must be caught: {text}",
-                report.runtime
-            )
-        });
-        assert!(
-            f.violations
-                .iter()
-                .any(|v| matches!(v, Violation::EvictedLastCopy { .. })),
-            "{text}"
+    assert_caught_on_both_runtimes(
+        "repl_f1_evict_pressure",
+        ProtocolMutation::EvictLastCopy,
+        0x9E99,
+        |v| matches!(v, Violation::EvictedLastCopy { .. }),
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The replay contract: a failure's replay value, fed back through
+// `Scenario::run` on the same runtime, reproduces the same violations.
+// The sim engine is deterministic, so a caught sim-side mutation must
+// replay exactly.
+// ---------------------------------------------------------------------------
+
+/// The violation kinds of a merged and per-shard set.
+fn kinds(
+    violations: &[Violation],
+    shard_violations: &[(usize, Violation)],
+) -> HashSet<Discriminant<Violation>> {
+    violations
+        .iter()
+        .chain(shard_violations.iter().map(|(_, v)| v))
+        .map(discriminant)
+        .collect()
+}
+
+#[test]
+fn replay_value_reproduces_a_caught_sim_mutation_on_every_axis() {
+    let cases: [(&str, Mutation, u64); 6] = [
+        (
+            "fed_2shard_spill",
+            FederationMutation::LostSpill.into(),
+            0xFED5EED,
+        ),
+        (
+            "fed_2shard_spill",
+            FederationMutation::DoubleSpill.into(),
+            0xFED5EED,
+        ),
+        (
+            "dag_skewed_reduce",
+            ProtocolMutation::OfferBeforePredecessor.into(),
+            0xDA62,
+        ),
+        (
+            "dag_straggler",
+            ProtocolMutation::DoubleSpeculate.into(),
+            0xDA63,
+        ),
+        ("repl_f2_crash", ProtocolMutation::SkipRepair.into(), 0x9E98),
+        (
+            "repl_f1_evict_pressure",
+            ProtocolMutation::EvictLastCopy.into(),
+            0x9E99,
+        ),
+    ];
+    let mut families = BTreeSet::new();
+    for (name, mutation, seed) in cases {
+        let (sc, report) = mutated_sim(name, mutation, 4, seed);
+        families.insert(format!("{:?}", sc.family()));
+        let f: &Failure = report
+            .failure
+            .as_ref()
+            .unwrap_or_else(|| panic!("{name}: {mutation:?} must be caught on the sim"));
+        assert_eq!(
+            f.replay.mutation, mutation,
+            "the replay carries the mutation"
         );
-        assert!(text.contains("run seed"), "replay tuple missing: {text}");
+        let out = sc.run(Runtime::Sim, &f.replay);
+        let (v, shard_v) = sc.violations(&out, false);
+        assert_eq!(
+            kinds(&v, &shard_v),
+            kinds(&f.violations, &f.shard_violations),
+            "{name}: replaying {} must reproduce {:?}, got {v:?} {shard_v:?}",
+            f.replay,
+            f.violations
+        );
     }
+    assert_eq!(families.len(), 3, "federation, DAG and replication axes");
 }
